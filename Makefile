@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-deprecated test race bench bench-json mesh-smoke recover-smoke route-smoke cover verify-figs api-check api-update ci
+.PHONY: all build vet lint lint-deprecated lint-gofmt test race bench bench-json mesh-smoke recover-smoke route-smoke cover verify-figs api-check api-update ci
 
 all: test
 
@@ -12,7 +12,7 @@ vet:
 
 # Lint runs staticcheck when it is installed, and falls back to go vet
 # otherwise so the target works offline and in minimal containers.
-lint: lint-deprecated
+lint: lint-deprecated lint-gofmt
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
 	else \
@@ -32,13 +32,25 @@ lint-deprecated:
 		echo "$$bad"; exit 1; \
 	fi
 
+# Formatting gate: every Go file, the benchmark module included, must be
+# gofmt-clean (the benchmark's build directory is skipped).
+lint-gofmt:
+	@bad=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l); \
+	if [ -n "$$bad" ]; then \
+		echo "files not gofmt-clean (run gofmt -w):"; \
+		echo "$$bad"; exit 1; \
+	fi
+
 # Tier-1 gate: everything must compile, vet clean, pass the test suite, and
 # the concurrency-heavy packages must be race-clean — telemetry (shared
-# mutable state everywhere) plus relayer and core now that the relayer
-# runs per-channel shards on the scheduler. Full -race stays in `make ci`.
+# mutable state everywhere), relayer and core now that the relayer runs
+# per-channel shards on the scheduler, and cryptoutil plus the light
+# clients, whose batch verification and commit signing start worker
+# goroutines. Full -race stays in `make ci`.
 test: build vet
 	$(GO) test ./...
-	$(GO) test -race ./internal/telemetry/... ./internal/relayer/... ./internal/core/...
+	$(GO) test -race ./internal/telemetry/... ./internal/relayer/... ./internal/core/... \
+		./internal/cryptoutil/... ./internal/lightclient/...
 
 race:
 	$(GO) test -race ./...

@@ -109,6 +109,9 @@ type Chain struct {
 
 	keys   []*cryptoutil.PrivKey
 	valset *tendermint.ValidatorSet
+	// valsetHash is valset.Hash(), computed once: the set never changes
+	// after New, and every header commits to it twice.
+	valsetHash cryptoutil.Hash
 
 	store   *ibc.Store
 	handler *ibc.Handler
@@ -171,6 +174,7 @@ func New(cfg Config, clock host.Clock, opts ...Option) (*Chain, error) {
 		return nil, err
 	}
 	c.valset = vs
+	c.valsetHash = vs.Hash()
 	for _, o := range opts {
 		o(c)
 	}
@@ -256,8 +260,8 @@ func (c *Chain) produceBlockLocked() *tendermint.Header {
 		Height:         c.height,
 		Time:           c.clock.Now(),
 		AppRoot:        c.store.Root(),
-		ValSetHash:     c.valset.Hash(),
-		NextValSetHash: c.valset.Hash(),
+		ValSetHash:     c.valsetHash,
+		NextValSetHash: c.valsetHash,
 	}
 	// Draw participation in [min, 1]; the signer subset is derived
 	// deterministically from the height when (and if) an update is built.

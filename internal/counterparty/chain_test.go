@@ -197,3 +197,23 @@ func TestEventCursor(t *testing.T) {
 	}
 	_ = base
 }
+
+// TestHeadersCommitToValidatorSet checks the stored validator-set hash
+// every header carries against a fresh hash of the set.
+func TestHeadersCommitToValidatorSet(t *testing.T) {
+	c, clock := newTestCP(t)
+	for i := 0; i < 5; i++ {
+		clock.Advance(6 * time.Second)
+		c.ProduceBlock()
+	}
+	want := c.ValidatorSet().Hash()
+	for h := uint64(1); h <= c.Height(); h++ {
+		hdr, err := c.HeaderAt(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hdr.ValSetHash != want || hdr.NextValSetHash != want {
+			t.Fatalf("header %d commits to %x/%x, validator set hashes to %x", h, hdr.ValSetHash, hdr.NextValSetHash, want)
+		}
+	}
+}

@@ -37,10 +37,10 @@ func (t *VerifyTask) cacheKey() Hash {
 // a cached entry can never go stale, and refusing to cache failures keeps an
 // attacker from churning the cache with garbage signatures.
 type sigCache struct {
-	mu   sync.Mutex
-	cap  int
-	ll   *list.List // front = most recently used; values are Hash keys
-	m    map[Hash]*list.Element
+	mu  sync.Mutex
+	cap int
+	ll  *list.List // front = most recently used; values are Hash keys
+	m   map[Hash]*list.Element
 }
 
 func newSigCache(capacity int) *sigCache {
@@ -216,18 +216,41 @@ func (v *BatchVerifier) VerifyEach(tasks []VerifyTask) []bool {
 // VerifyAll folds into the same overall verdict.
 func (v *BatchVerifier) run(tasks []VerifyTask, failFast bool) []bool {
 	results := make([]bool, len(tasks))
-	workers := v.workers
-	if workers > len(tasks) {
-		workers = len(tasks)
+	fanOut(len(tasks), v.workers, func(i int) bool {
+		results[i] = v.Verify(tasks[i])
+		return results[i] || !failFast
+	})
+	return results
+}
+
+// SignAll signs msg with every key and returns the signatures in key
+// order. The keys are spread across GOMAXPROCS workers, each writing only
+// its own index slot; Ed25519 signing is deterministic, so the result is
+// byte-identical to a serial loop.
+func SignAll(keys []*PrivKey, msg []byte) []Signature {
+	sigs := make([]Signature, len(keys))
+	fanOut(len(keys), runtime.GOMAXPROCS(0), func(i int) bool {
+		sigs[i] = keys[i].Sign(msg)
+		return true
+	})
+	return sigs
+}
+
+// fanOut calls fn for every index in [0, n) across at most workers
+// goroutines, each claiming the next unclaimed index, and returns when
+// all have finished. Once any call returns false, no worker claims a
+// further index. With one worker it runs inline, in index order.
+func fanOut(n, workers int, fn func(i int) bool) {
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for i := range tasks {
-			results[i] = v.Verify(tasks[i])
-			if failFast && !results[i] {
-				break
+		for i := 0; i < n; i++ {
+			if !fn(i) {
+				return
 			}
 		}
-		return results
+		return
 	}
 
 	var (
@@ -239,16 +262,12 @@ func (v *BatchVerifier) run(tasks []VerifyTask, failFast bool) []bool {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				if failFast && stopped.Load() {
-					return
-				}
+			for !stopped.Load() {
 				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
+				if i >= n {
 					return
 				}
-				results[i] = v.Verify(tasks[i])
-				if failFast && !results[i] {
+				if !fn(i) {
 					stopped.Store(true)
 					return
 				}
@@ -256,5 +275,4 @@ func (v *BatchVerifier) run(tasks []VerifyTask, failFast bool) []bool {
 		}()
 	}
 	wg.Wait()
-	return results
 }

@@ -215,3 +215,22 @@ func BenchmarkBatchVerify24(b *testing.B) {
 		})
 	}
 }
+
+func TestSignAllMatchesSerial(t *testing.T) {
+	msg := []byte("sign-all")
+	for _, n := range []int{0, 1, 2, 33} {
+		keys := make([]*PrivKey, n)
+		for i := range keys {
+			keys[i] = GenerateKeyIndexed("sign-all", i)
+		}
+		got := SignAll(keys, msg)
+		if len(got) != n {
+			t.Fatalf("%d keys: %d signatures", n, len(got))
+		}
+		for i, k := range keys {
+			if got[i] != k.Sign(msg) {
+				t.Fatalf("%d keys: signature %d differs from serial Sign", n, i)
+			}
+		}
+	}
+}

@@ -252,8 +252,8 @@ func RunMesh(cfg MeshConfig) (*MeshResult, error) {
 		latencies  []float64 // seconds, submission → final WriteAck
 	}
 	states := make([]*flowState, len(flows))
-	sendAt := make(map[string]time.Duration)  // memo tag → virtual send time
-	tagFlow := make(map[string]int)           // memo tag → flow index
+	sendAt := make(map[string]time.Duration) // memo tag → virtual send time
+	tagFlow := make(map[string]int)          // memo tag → flow index
 	for i, f := range flows {
 		fs := &flowState{
 			denom:    fmt.Sprintf("MESH%d", i),

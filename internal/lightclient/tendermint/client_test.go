@@ -2,6 +2,7 @@ package tendermint
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -313,5 +314,26 @@ func TestUpdateSizeScalesWithValidators(t *testing.T) {
 	ul := large.update(hl, 100).Marshal()
 	if len(ul) < 8*len(us) {
 		t.Fatalf("update sizes: %d (10 vals) vs %d (100 vals); expected ~10x growth", len(us), len(ul))
+	}
+}
+
+// TestSignCommitMatchesSerialLoop pins the parallel commit signer to the
+// serial loop it replaced: same signers, same order, same bytes.
+func TestSignCommitMatchesSerialLoop(t *testing.T) {
+	for _, n := range []int{1, 7, 24, 115} {
+		c := newNamedTestChain(t, fmt.Sprintf("sign-commit-%d", n), n)
+		h := c.header(cryptoutil.HashBytes([]byte("root")))
+		ts := h.Time.Add(time.Second)
+		got := SignCommit(h, c.keys, ts)
+		if len(got) != n {
+			t.Fatalf("%d keys: commit has %d sigs", n, len(got))
+		}
+		hash := h.Hash()
+		for i, k := range c.keys {
+			want := CommitSig{PubKey: k.Public(), Timestamp: ts, Signature: k.SignHash(VotePayload(hash, ts))}
+			if got[i] != want {
+				t.Fatalf("%d keys: sig %d = %+v, want %+v", n, i, got[i], want)
+			}
+		}
 	}
 }

@@ -203,16 +203,15 @@ func UnmarshalUpdate(data []byte) (*Update, error) {
 }
 
 // SignCommit produces a full commit for a header from the given keys
-// (test/simulation helper used by the counterparty chain).
+// (test/simulation helper used by the counterparty chain). Every key signs
+// the same vote payload, so it is built once and the keys sign it in
+// parallel (cryptoutil.SignAll); the commit is in key order.
 func SignCommit(h *Header, keys []*cryptoutil.PrivKey, ts time.Time) []CommitSig {
-	hash := h.Hash()
-	out := make([]CommitSig, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, CommitSig{
-			PubKey:    k.Public(),
-			Timestamp: ts,
-			Signature: k.SignHash(VotePayload(hash, ts)),
-		})
+	payload := VotePayload(h.Hash(), ts)
+	sigs := cryptoutil.SignAll(keys, payload[:])
+	out := make([]CommitSig, len(keys))
+	for i, k := range keys {
+		out[i] = CommitSig{PubKey: k.Public(), Timestamp: ts, Signature: sigs[i]}
 	}
 	return out
 }

@@ -177,10 +177,10 @@ func TestEmptyStackDelegates(t *testing.T) {
 // quietApp is an allocation-free base module for the overhead checks.
 type quietApp struct{ ack []byte }
 
-func (a *quietApp) OnChanOpen(ibc.PortID, ibc.ChannelID, string) error  { return nil }
-func (a *quietApp) OnRecvPacket(ibc.Packet) ([]byte, error)             { return a.ack, nil }
+func (a *quietApp) OnChanOpen(ibc.PortID, ibc.ChannelID, string) error   { return nil }
+func (a *quietApp) OnRecvPacket(ibc.Packet) ([]byte, error)              { return a.ack, nil }
 func (a *quietApp) OnAcknowledgementPacket(p ibc.Packet, _ []byte) error { return nil }
-func (a *quietApp) OnTimeoutPacket(ibc.Packet) error                    { return nil }
+func (a *quietApp) OnTimeoutPacket(ibc.Packet) error                     { return nil }
 
 // TestStackRecvAllocOverhead enforces the recv-path alloc budget the
 // bench gate pins: a stacked recv may cost at most 2 allocs/op more than

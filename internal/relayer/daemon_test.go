@@ -19,7 +19,7 @@ type daemonHarness struct {
 	res     *Result
 }
 
-func newDaemonHarness(t *testing.T) *daemonHarness {
+func newDaemonHarness(t *testing.T, opts ...Option) *daemonHarness {
 	t.Helper()
 	e := newBootEnv(t)
 	b := &Bootstrap{
@@ -42,7 +42,7 @@ func newDaemonHarness(t *testing.T) *daemonHarness {
 	cfg.GuestChannel = res.GuestChannel
 	cfg.CPPort = "transfer"
 	cfg.CPChannel = res.CPChannel
-	h.relayer = New(cfg, e.chain, e.contract, e.cp, sched)
+	h.relayer = New(cfg, e.chain, e.contract, e.cp, sched, opts...)
 	e.chain.Fund(h.relayer.Key().Public(), 1_000*host.LamportsPerSOL)
 
 	crank := guest.NewTxBuilder(e.contract, e.keys[0].Public())

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/counterparty"
 	"repro/internal/ibc"
+	"repro/internal/lightclient/tendermint"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -433,6 +434,9 @@ func (r *PairRelayer) flush(s *pairSide) {
 // duty the guest relayer performs; unordered channels only, like the rest
 // of the mesh plane).
 func (r *PairRelayer) CheckTimeouts() {
+	// Nothing in the scan moves a client or a chain head (submissions are
+	// scheduled, not run inline), so each side's view is read once.
+	views := map[*pairSide]timeoutView{r.a: newTimeoutView(r.a), r.b: newTimeoutView(r.b)}
 	for _, key := range r.order {
 		tr, ok := r.traces[key]
 		if !ok || tr.delivered || tr.inFlight {
@@ -447,27 +451,21 @@ func (r *PairRelayer) CheckTimeouts() {
 		if p.TimeoutHeight == 0 && p.TimeoutTimestamp.IsZero() {
 			continue
 		}
-		client, err := src.c.Chain.Handler().Client(src.c.ClientOfPeer)
-		if err != nil {
+		v := views[src]
+		if v.knownErr != nil {
 			continue
 		}
-		known := client.LatestHeight()
-		knownTime, err := client.ConsensusTime(known)
-		if err != nil {
-			continue
-		}
-		if !p.TimedOut(known, knownTime) {
+		if !p.TimedOut(v.known, v.knownTime) {
 			// Not provable at the trusted height yet; if the live peer
 			// head is past the expiry, pull the client forward for a
 			// later scan.
-			dstH := dst.c.Chain.Height()
-			if hdr, err := dst.c.Chain.HeaderAt(dstH); err == nil && p.TimedOut(ibc.Height(dstH), hdr.Time) {
+			if v.head != nil && p.TimedOut(ibc.Height(v.head.Height), v.head.Time) {
 				r.requestSync(dst)
 			}
 			continue
 		}
 		receiptPath := ibc.ReceiptPath(p.DestPort, p.DestChannel, p.Sequence)
-		proof, err := dst.c.Chain.ProveNonMembershipAt(uint64(known), receiptPath)
+		proof, err := dst.c.Chain.ProveNonMembershipAt(uint64(v.known), receiptPath)
 		if err != nil {
 			continue
 		}
@@ -475,7 +473,7 @@ func (r *PairRelayer) CheckTimeouts() {
 		// The proof comes from dst, so it rides dst's op stream (whose
 		// submissions target the peer = the packet's source chain).
 		r.enqueue(dst, netsim.KindTimeoutPacket,
-			netsim.MsgTimeoutPacket{Packet: p, Proof: proof, ProofHeight: known},
+			netsim.MsgTimeoutPacket{Packet: p, Proof: proof, ProofHeight: v.known},
 			func(_ any, err error) {
 				tr.inFlight = false
 				if err == nil {
@@ -484,6 +482,31 @@ func (r *PairRelayer) CheckTimeouts() {
 				}
 			})
 	}
+}
+
+// timeoutView is what a timeout scan reads for packets sourced on one
+// side: the peer height (and its time) that side's client of the peer
+// trusts, and the peer's live head (nil if unreadable).
+type timeoutView struct {
+	known     ibc.Height
+	knownTime time.Time
+	knownErr  error
+	head      *tendermint.Header
+}
+
+func newTimeoutView(src *pairSide) timeoutView {
+	var v timeoutView
+	client, err := src.c.Chain.Handler().Client(src.c.ClientOfPeer)
+	if err == nil {
+		v.known = client.LatestHeight()
+		v.knownTime, err = client.ConsensusTime(v.known)
+	}
+	v.knownErr = err
+	peer := src.peer.c.Chain
+	if hdr, err := peer.HeaderAt(peer.Height()); err == nil {
+		v.head = hdr
+	}
+	return v
 }
 
 // clearTrace drops a settled packet; the order slice compacts lazily on

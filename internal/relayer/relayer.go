@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strconv"
 	"time"
 
@@ -830,15 +831,17 @@ func (r *Relayer) CheckTimeouts() {
 	if err != nil {
 		return
 	}
-	client, err := r.guestClient()
-	if err != nil {
-		return
+	// The side-effect-free field filters run first, so only the few
+	// undelivered packets with a timeout and none in flight pay for the
+	// commitment lookup.
+	type candidate struct {
+		key string
+		p   *ibc.Packet
+		s   *shard
 	}
+	var due []candidate
 	for key, tr := range r.Traces {
 		p := tr.Packet
-		if !st.Handler.HasCommitment(p) {
-			continue // acked or already timed out
-		}
 		if !tr.DeliveredAt.IsZero() {
 			continue // delivered; ack pending
 		}
@@ -849,20 +852,50 @@ func (r *Relayer) CheckTimeouts() {
 		if s.timeoutInFlight[key] {
 			continue
 		}
-		// The timeout must have elapsed as observable through the
-		// client's own latest consensus state — proofs are anchored at a
-		// height the guest's client already trusts.
-		known := client.LatestHeight()
-		knownTime, err := client.ConsensusTime(known)
-		if err != nil {
-			continue
+		if !st.Handler.HasCommitment(p) {
+			continue // acked or already timed out
 		}
+		due = append(due, candidate{key, p, s})
+	}
+	if len(due) == 0 {
+		return
+	}
+	// Map order is random: enqueue in (port, channel, sequence) order so
+	// a shard's timeout txs are submitted deterministically.
+	sort.Slice(due, func(i, j int) bool {
+		a, b := due[i].p, due[j].p
+		if a.SourcePort != b.SourcePort {
+			return a.SourcePort < b.SourcePort
+		}
+		if a.SourceChannel != b.SourceChannel {
+			return a.SourceChannel < b.SourceChannel
+		}
+		return a.Sequence < b.Sequence
+	})
+
+	// The timeout must have elapsed as observable through the client's
+	// own latest consensus state — proofs are anchored at a height the
+	// guest's client already trusts. Nothing in the loop moves the
+	// client or the counterparty head (submissions are scheduled, not
+	// run inline), so both are read once.
+	client, err := r.guestClient()
+	if err != nil {
+		return
+	}
+	known := client.LatestHeight()
+	knownTime, err := client.ConsensusTime(known)
+	if err != nil {
+		return
+	}
+	cpHeight := r.cp.Height()
+	cpHeader, cpErr := r.cp.HeaderAt(cpHeight)
+	for _, c := range due {
+		p, s := c.p, c.s
 		if !p.TimedOut(known, knownTime) {
 			// Not provable yet at the trusted height. If the live
 			// counterparty head is already past the timeout, pull the
 			// client forward so a later scan can prove it.
-			cpHeight := r.cp.Height()
-			if header, err := r.cp.HeaderAt(cpHeight); err == nil && p.TimedOut(ibc.Height(cpHeight), header.Time) {
+			if cpErr == nil && p.TimedOut(ibc.Height(cpHeight), cpHeader.Time) {
 				r.updates.requestHeight(cpHeight)
 				r.updates.maybeUpdate()
 			}
@@ -881,13 +914,12 @@ func (r *Relayer) CheckTimeouts() {
 		if s.timeoutInFlight == nil {
 			s.timeoutInFlight = make(map[string]bool)
 		}
-		s.timeoutInFlight[key] = true
+		s.timeoutInFlight[c.key] = true
 		r.TimeoutsRun++
 		r.mTimeouts.Inc()
 		s.cTimeouts.Inc()
-		tkey := key
 		s.pc.enqueue("timeout", txs, func(_, finished time.Time) {
-			r.tracer.Mark(tkey, telemetry.StageTimeout, finished)
+			r.tracer.Mark(c.key, telemetry.StageTimeout, finished)
 		})
 	}
 }

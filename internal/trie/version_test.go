@@ -428,4 +428,3 @@ func TestSnapshotAfterSerializeRoundTrip(t *testing.T) {
 		t.Fatalf("round-tripped view read = %v, %v; want original value", got, err)
 	}
 }
-
