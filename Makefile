@@ -44,13 +44,15 @@ lint-gofmt:
 # Tier-1 gate: everything must compile, vet clean, pass the test suite, and
 # the concurrency-heavy packages must be race-clean — telemetry (shared
 # mutable state everywhere), relayer and core now that the relayer runs
-# per-channel shards on the scheduler, and cryptoutil plus the light
-# clients, whose batch verification and commit signing start worker
-# goroutines. Full -race stays in `make ci`.
+# per-channel shards on the scheduler, cryptoutil plus the light clients,
+# whose batch verification and commit signing start worker goroutines,
+# and host and validator, which start signature checks and signing in the
+# background. Full -race stays in `make ci`.
 test: build vet
 	$(GO) test ./...
 	$(GO) test -race ./internal/telemetry/... ./internal/relayer/... ./internal/core/... \
-		./internal/cryptoutil/... ./internal/lightclient/...
+		./internal/cryptoutil/... ./internal/lightclient/... \
+		./internal/host/... ./internal/validator/...
 
 race:
 	$(GO) test -race ./...

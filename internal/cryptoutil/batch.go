@@ -32,40 +32,78 @@ func (t *VerifyTask) cacheKey() Hash {
 	return HashTagged('V', t.Pub[:], t.Msg, t.Sig[:])
 }
 
-// sigCache is a mutex-protected bounded LRU of verification results. Only
-// *valid* triples are stored: signature verification is a pure function, so
-// a cached entry can never go stale, and refusing to cache failures keeps an
-// attacker from churning the cache with garbage signatures.
+// sigCache is a mutex-protected bounded LRU of verification results, plus
+// the set of verifications in flight. Only *valid* triples are stored:
+// signature verification is a pure function, so a cached entry can never go
+// stale, and refusing to cache failures keeps an attacker from churning the
+// cache with garbage signatures.
 type sigCache struct {
 	mu  sync.Mutex
 	cap int
 	ll  *list.List // front = most recently used; values are Hash keys
 	m   map[Hash]*list.Element
+	// inflight holds the verifications claimed but not yet settled, so a
+	// second request for the same triple joins the first instead of
+	// verifying it again.
+	inflight map[Hash]*flight
+}
+
+// flight is one claimed verification. Whoever calls await first runs it
+// (a prefetch worker or a caller that got there before the worker); every
+// other caller blocks in the Once until the verdict exists.
+type flight struct {
+	once sync.Once
+	key  Hash
+	task VerifyTask
+	ok   bool
 }
 
 func newSigCache(capacity int) *sigCache {
 	return &sigCache{
-		cap: capacity,
-		ll:  list.New(),
-		m:   make(map[Hash]*list.Element, capacity),
+		cap:      capacity,
+		ll:       list.New(),
+		m:        make(map[Hash]*list.Element, capacity),
+		inflight: make(map[Hash]*flight),
 	}
 }
 
-// contains reports whether key is cached, promoting it on hit.
-func (c *sigCache) contains(key Hash) bool {
+// claim looks key up. A cached triple returns (nil, true), one in flight
+// returns its flight and true, and an unknown one is registered as a new
+// flight for t, returned with false: the caller owns that verification.
+func (c *sigCache) claim(key Hash, t VerifyTask) (*flight, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if ok {
+	if el, ok := c.m[key]; ok {
 		c.ll.MoveToFront(el)
+		return nil, true
 	}
-	return ok
+	if f, ok := c.inflight[key]; ok {
+		return f, true
+	}
+	f := &flight{key: key, task: t}
+	c.inflight[key] = f
+	return f, false
 }
 
-// add inserts key, evicting the least recently used entry when full.
-func (c *sigCache) add(key Hash) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// await returns the verdict of f, running the verification if no one has
+// started it yet. The first runner settles the flight: a valid triple
+// enters the cache and the flight leaves the in-flight set, so later
+// requests for an invalid triple verify afresh.
+func (c *sigCache) await(f *flight) bool {
+	f.once.Do(func() {
+		f.ok = Verify(f.task.Pub, f.task.Msg, f.task.Sig)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		delete(c.inflight, f.key)
+		if f.ok {
+			c.addLocked(f.key)
+		}
+	})
+	return f.ok
+}
+
+// addLocked inserts key, evicting the least recently used entry when full.
+func (c *sigCache) addLocked(key Hash) {
 	if el, ok := c.m[key]; ok {
 		c.ll.MoveToFront(el)
 		return
@@ -168,24 +206,53 @@ func (v *BatchVerifier) Stats() CacheStats {
 	return s
 }
 
-// Verify checks a single task through the cache.
+// Verify checks a single task through the cache. A triple already cached,
+// or already being verified by another caller or a Prefetch, counts as a
+// hit and returns that verification's verdict; only a triple no one has
+// claimed counts as a miss and is verified here.
 func (v *BatchVerifier) Verify(t VerifyTask) bool {
-	var key Hash
-	if v.cache != nil {
-		key = t.cacheKey()
-		if v.cache.contains(key) {
-			v.hits.Add(1)
+	if v.cache == nil {
+		v.misses.Add(1)
+		return Verify(t.Pub, t.Msg, t.Sig)
+	}
+	f, hit := v.cache.claim(t.cacheKey(), t)
+	if hit {
+		v.hits.Add(1)
+		if f == nil {
 			return true
 		}
+	} else {
+		v.misses.Add(1)
 	}
-	v.misses.Add(1)
-	if !Verify(t.Pub, t.Msg, t.Sig) {
-		return false
+	return v.cache.await(f)
+}
+
+// Prefetch starts verifying tasks in the background and returns at once.
+// Each triple not yet cached or in flight is claimed (and counted as a
+// miss) before Prefetch returns, so a later Verify of it joins this work
+// instead of repeating it — or, if no worker has reached the triple yet,
+// runs it on the spot while the worker skips it. Triples already cached or
+// in flight count nothing. The tasks' Msg bytes must not change
+// afterwards. Without a cache there is nothing to keep the results in, so
+// Prefetch does nothing.
+func (v *BatchVerifier) Prefetch(tasks []VerifyTask) {
+	if v.cache == nil {
+		return
 	}
-	if v.cache != nil {
-		v.cache.add(key)
+	var work []*flight
+	for _, t := range tasks {
+		if f, hit := v.cache.claim(t.cacheKey(), t); !hit {
+			work = append(work, f)
+		}
 	}
-	return true
+	if len(work) == 0 {
+		return
+	}
+	v.misses.Add(uint64(len(work)))
+	go fanOut(len(work), v.workers, func(i int) bool {
+		v.cache.await(work[i])
+		return true
+	})
 }
 
 // VerifyAll reports whether every task in the batch carries a valid

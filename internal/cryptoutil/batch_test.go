@@ -195,6 +195,119 @@ func TestBatchVerifyConcurrentCallers(t *testing.T) {
 	}
 }
 
+// verifyConcurrently runs Verify(task) from n goroutines released together
+// and returns their verdicts.
+func verifyConcurrently(v *BatchVerifier, task VerifyTask, n int) []bool {
+	got := make([]bool, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for g := 0; g < n; g++ {
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			got[g] = v.Verify(task)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	return got
+}
+
+func TestVerifyInFlightDedupValid(t *testing.T) {
+	const n = 16
+	v := NewBatchVerifier(WithCacheSize(16))
+	for g, ok := range verifyConcurrently(v, quorumTasks(1)[0], n) {
+		if !ok {
+			t.Fatalf("goroutine %d: valid triple rejected", g)
+		}
+	}
+	if s := v.Stats(); s.Misses != 1 || s.Hits != n-1 || s.Len != 1 {
+		t.Fatalf("stats = %+v, want 1 miss, %d hits, 1 entry", s, n-1)
+	}
+}
+
+func TestVerifyInFlightDedupInvalid(t *testing.T) {
+	const n = 16
+	v := NewBatchVerifier(WithCacheSize(16))
+	bad := corrupt(quorumTasks(1)[0])
+	for g, ok := range verifyConcurrently(v, bad, n) {
+		if ok {
+			t.Fatalf("goroutine %d: invalid triple accepted", g)
+		}
+	}
+	s := v.Stats()
+	if s.Len != 0 || s.Hits+s.Misses != n {
+		t.Fatalf("stats = %+v, want nothing cached and %d requests", s, n)
+	}
+	// Not cached, not left in flight: the next request verifies afresh.
+	if v.Verify(bad) {
+		t.Fatal("invalid triple accepted on retry")
+	}
+	if got := v.Stats().Misses; got != s.Misses+1 {
+		t.Fatalf("misses = %d, want %d: an invalid verdict must not be reused", got, s.Misses+1)
+	}
+}
+
+func TestPrefetchThenVerify(t *testing.T) {
+	v := NewBatchVerifier(WithWorkers(2), WithCacheSize(16))
+	tasks := quorumTasks(3)
+	v.Prefetch(tasks[:1])
+	if s := v.Stats(); s.Misses != 1 || s.Hits != 0 {
+		t.Fatalf("after prefetch: %+v, want the claim counted as 1 miss", s)
+	}
+	if !v.Verify(tasks[0]) {
+		t.Fatal("prefetched triple rejected")
+	}
+	if s := v.Stats(); s.Misses != 1 || s.Hits != 1 || s.Len != 1 {
+		t.Fatalf("after verify: %+v, want 1 miss and 1 hit", s)
+	}
+	// Prefetching what is already cached counts nothing; a batch mixing
+	// cached and fresh triples claims only the fresh ones.
+	v.Prefetch(tasks)
+	if !v.VerifyAll(tasks) {
+		t.Fatal("prefetched batch rejected")
+	}
+	if s := v.Stats(); s.Misses != 3 || s.Hits != 4 {
+		t.Fatalf("after batch: %+v, want 3 misses and 4 hits", s)
+	}
+}
+
+func TestPrefetchInvalidReportsFalse(t *testing.T) {
+	v := NewBatchVerifier(WithCacheSize(16))
+	bad := corrupt(quorumTasks(1)[0])
+	v.Prefetch([]VerifyTask{bad})
+	if v.Verify(bad) {
+		t.Fatal("prefetched invalid triple accepted")
+	}
+	if s := v.Stats(); s.Len != 0 {
+		t.Fatalf("invalid triple cached: %+v", s)
+	}
+}
+
+func TestVerifyWithoutCache(t *testing.T) {
+	v := NewBatchVerifier(WithWorkers(2), WithCacheSize(0))
+	tasks := quorumTasks(4)
+	v.Prefetch(tasks) // nothing to keep the verdicts in: a no-op
+	if s := v.Stats(); s.Misses != 0 {
+		t.Fatalf("prefetch without a cache did work: %+v", s)
+	}
+	for i, task := range tasks {
+		if !v.Verify(task) {
+			t.Fatalf("task %d rejected", i)
+		}
+	}
+	if !v.VerifyAll(tasks) {
+		t.Fatal("valid batch rejected")
+	}
+	if v.Verify(corrupt(tasks[0])) {
+		t.Fatal("invalid triple accepted")
+	}
+	if s := v.Stats(); s.Misses != 9 || s.Hits != 0 || s.Len != 0 || s.Cap != 0 {
+		t.Fatalf("stats = %+v, want every request a miss and no cache", s)
+	}
+}
+
 func BenchmarkBatchVerify24(b *testing.B) {
 	tasks := quorumTasks(24)
 	for _, bench := range []struct {

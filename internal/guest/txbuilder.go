@@ -69,13 +69,19 @@ func (b *TxBuilder) GenerateBlockTx() *host.Transaction {
 // claim.
 func (b *TxBuilder) SignTx(key *cryptoutil.PrivKey, block *guestblock.Block) *host.Transaction {
 	payload := block.SigningPayload()
-	sig := key.SignHash(payload)
+	return b.SignedTx(key.Public(), block.Height, payload, key.SignHash(payload))
+}
+
+// SignedTx builds the Sign invocation for a signature already made: sig is
+// pub's signature over payload, the signing payload of the block at
+// height. It is byte-identical to SignTx with the same key and block.
+func (b *TxBuilder) SignedTx(pub cryptoutil.PubKey, height uint64, payload cryptoutil.Hash, sig cryptoutil.Signature) *host.Transaction {
 	tx := b.tx("sign", EncodeSign(&SignArgs{
-		Height:    block.Height,
-		PubKey:    key.Public(),
+		Height:    height,
+		PubKey:    pub,
 		Signature: sig,
 	}))
-	tx.PrecompileSigs = []host.SigVerify{{Pub: key.Public(), Msg: payload.Bytes(), Sig: sig}}
+	tx.PrecompileSigs = []host.SigVerify{{Pub: pub, Msg: payload.Bytes(), Sig: sig}}
 	return tx
 }
 

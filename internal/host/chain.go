@@ -111,18 +111,11 @@ func (ctx *ExecContext) Debit(from cryptoutil.PubKey, amount Lamports) error {
 	return nil
 }
 
-// pendingTx is a queued transaction with its submission slot and, once the
-// pre-verification stage has run, its cached precompile result.
+// pendingTx is a queued transaction with its submission slot.
 type pendingTx struct {
 	tx        *Transaction
 	submitted Slot
 	seq       int // arrival order tiebreak
-
-	// preVerified caches the parallel precompile stage's output so a
-	// transaction that waits several slots is verified exactly once.
-	preVerified bool
-	verified    map[cryptoutil.Hash]bool
-	verifyErr   error
 }
 
 // Chain is the simulated host blockchain.
@@ -389,6 +382,7 @@ func (c *Chain) Submit(tx *Transaction) error {
 	c.mempoolDepth.Set(int64(len(c.mempool)))
 	hook := c.onSubmit
 	c.mu.Unlock()
+	prefetchPrecompiles(tx)
 	if hook != nil {
 		hook()
 	}
@@ -506,15 +500,12 @@ func (c *Chain) produceBlockLocked() (*Block, []*Transaction) {
 		return a.seq < b.seq
 	})
 
-	// Pre-verification stage: precompile signature batches for every
-	// queued transaction are verified in parallel, sharded by fee-payer
-	// key prefix, before the serial apply loop below consumes the cached
-	// results in canonical order. Verification is stateless, so the
-	// overlap cannot change execution outcomes — it only stops a block
-	// full of single-signature Sign transactions from paying one
-	// verification round-trip each, serially.
-	c.preVerifyShardedLocked()
-
+	// The precompile signatures of every transaction here were claimed
+	// by the verifier when Submit admitted it (prefetchPrecompiles), so
+	// they have been checking on spare cores while the transaction
+	// waited. The serial apply loop below joins each result in canonical
+	// order; verification is stateless, so the overlap cannot change
+	// execution outcomes.
 	var budget uint64
 	var rest []pendingTx
 	for i := range c.mempool {
@@ -548,57 +539,6 @@ func (c *Chain) anyDeadlineLocked() bool {
 		}
 	}
 	return false
-}
-
-// preVerifyShards caps the verification worker fan-out per block.
-const preVerifyShards = 8
-
-// preVerifyShardedLocked runs the precompile batches of every queued,
-// not-yet-verified transaction across worker goroutines, sharded by the
-// fee payer's key prefix. Results are cached on the pendingTx, so the
-// serial apply loop — which keeps the canonical (tip, priority, arrival)
-// order — never re-verifies, and a transaction deferred to a later slot
-// is verified exactly once. Determinism: the per-transaction result does
-// not depend on shard scheduling, only on the transaction itself.
-func (c *Chain) preVerifyShardedLocked() {
-	var work [preVerifyShards][]*pendingTx
-	n := 0
-	for i := range c.mempool {
-		ptx := &c.mempool[i]
-		if ptx.preVerified || len(ptx.tx.PrecompileSigs) == 0 {
-			continue
-		}
-		shard := int(ptx.tx.FeePayer[0]) % preVerifyShards
-		work[shard] = append(work[shard], ptx)
-		n++
-	}
-	if n == 0 {
-		return
-	}
-	if n == 1 {
-		for _, shard := range work {
-			for _, ptx := range shard {
-				ptx.verified, ptx.verifyErr = runPrecompiles(ptx.tx)
-				ptx.preVerified = true
-			}
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for s := range work {
-		if len(work[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(shard []*pendingTx) {
-			defer wg.Done()
-			for _, ptx := range shard {
-				ptx.verified, ptx.verifyErr = runPrecompiles(ptx.tx)
-				ptx.preVerified = true
-			}
-		}(work[s])
-	}
-	wg.Wait()
 }
 
 // executeLocked runs one transaction atomically. State mutations performed
@@ -635,10 +575,7 @@ func (c *Chain) executeLocked(ptx *pendingTx, block *Block) TxResult {
 		signers[s] = true
 	}
 
-	verified, err := ptx.verified, ptx.verifyErr
-	if !ptx.preVerified {
-		verified, err = runPrecompiles(tx)
-	}
+	verified, err := runPrecompiles(tx)
 	if err != nil {
 		res.Err = err
 		c.txsExecuted.Inc()

@@ -22,11 +22,6 @@ type SigVerify struct {
 // request: signature (64) + pubkey (32) + offsets/length header (14).
 func precompileSigSize(msgLen int) int { return 64 + 32 + 14 + msgLen }
 
-// Verified reports whether the request's signature is valid.
-func (s *SigVerify) Verified() bool {
-	return cryptoutil.Verify(s.Pub, s.Msg, s.Sig)
-}
-
 // digest identifies a verified (pubkey, message) pair.
 func (s *SigVerify) digest() cryptoutil.Hash {
 	return cryptoutil.HashTagged('P', s.Pub[:], s.Msg)
@@ -40,22 +35,40 @@ func (ctx *ExecContext) PrecompileVerified(pub cryptoutil.PubKey, msg []byte) bo
 	return ctx.verified[probe.digest()]
 }
 
-// runPrecompiles verifies all transaction-level signature requests,
-// returning the set of verified digests or an error that fails the tx.
-// Like the real runtime — which verifies a transaction's signatures before
-// scheduling it — the requests are checked as one batch across the worker
-// pool, with the shared cache absorbing re-submissions of the same chunked
-// light-client update.
-func runPrecompiles(tx *Transaction) (map[cryptoutil.Hash]bool, error) {
-	if len(tx.PrecompileSigs) == 0 {
-		return nil, nil
-	}
-	verifier := cryptoutil.DefaultBatchVerifier()
+// precompileTasks returns the transaction's signature requests as
+// verifier tasks.
+func precompileTasks(tx *Transaction) []cryptoutil.VerifyTask {
 	tasks := make([]cryptoutil.VerifyTask, len(tx.PrecompileSigs))
 	for i := range tx.PrecompileSigs {
 		sv := &tx.PrecompileSigs[i]
 		tasks[i] = cryptoutil.VerifyTask{Pub: sv.Pub, Msg: sv.Msg, Sig: sv.Sig}
 	}
+	return tasks
+}
+
+// prefetchPrecompiles starts checking an admitted transaction's signature
+// requests in the background, so they verify on spare cores while the
+// transaction waits in the mempool.
+func prefetchPrecompiles(tx *Transaction) {
+	if len(tx.PrecompileSigs) > 0 {
+		cryptoutil.DefaultBatchVerifier().Prefetch(precompileTasks(tx))
+	}
+}
+
+// runPrecompiles checks all transaction-level signature requests at
+// execution, returning the set of verified digests or an error that fails
+// the tx. Like the real runtime — which verifies a transaction's
+// signatures before scheduling it — the checks started at admission
+// (prefetchPrecompiles) have usually finished by now: each request hits
+// the shared cache or joins its in-flight check, and is verified here only
+// if it was evicted or never started. An invalid signature is never
+// cached, so the rescan that names it verifies it again.
+func runPrecompiles(tx *Transaction) (map[cryptoutil.Hash]bool, error) {
+	if len(tx.PrecompileSigs) == 0 {
+		return nil, nil
+	}
+	verifier := cryptoutil.DefaultBatchVerifier()
+	tasks := precompileTasks(tx)
 	if !verifier.VerifyAll(tasks) {
 		for i, t := range tasks {
 			if !verifier.Verify(t) {

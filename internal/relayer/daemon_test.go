@@ -204,3 +204,43 @@ func TestDaemonTimeoutFlow(t *testing.T) {
 		}
 	}
 }
+
+// TestTotalFeesCountsAcceptedTxsOnly paces a job into a host whose mempool
+// admits only part of it: the relayer is charged exactly the fees of the
+// transactions the host accepted.
+func TestTotalFeesCountsAcceptedTxsOnly(t *testing.T) {
+	h := newDaemonHarness(t)
+	r := h.relayer
+	r.cfg.TxGap = sim.Constant(time.Millisecond) // the whole job lands within one slot
+	const admitted = 2
+	h.chain.SetMempoolLimit(h.chain.PendingCount() + admitted)
+	var txs []*host.Transaction
+	var offered host.Lamports
+	for i := 0; i < 4; i++ {
+		tx := r.builder.GenerateBlockTx()
+		tx.Label = "fee-probe"
+		txs = append(txs, tx)
+		offered += tx.Fee()
+	}
+	from := h.chain.Slot()
+	fees0 := r.TotalFees
+	r.root.enqueue("fee-probe", txs, nil)
+	h.sched.RunFor(5 * time.Second)
+
+	var landed int
+	var charged host.Lamports
+	for _, b := range h.chain.BlocksSince(from) {
+		for _, res := range b.Results {
+			if res.Label == "fee-probe" && res.FeePayer == r.Key().Public() {
+				landed++
+				charged += res.Fee
+			}
+		}
+	}
+	if landed != admitted {
+		t.Fatalf("landed %d probe txs, want %d admitted", landed, admitted)
+	}
+	if got := r.TotalFees - fees0; got != charged || got >= offered {
+		t.Fatalf("TotalFees grew by %d, want %d (host-charged fees of accepted txs; %d offered)", got, charged, offered)
+	}
+}

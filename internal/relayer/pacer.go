@@ -80,7 +80,6 @@ func (p *pacer) pump() {
 	}
 	tx := j.txs[0]
 	j.txs = j.txs[1:]
-	r.TotalFees += tx.Fee()
 	r.submitHost(tx, func(err error) {
 		if err != nil {
 			// Oversized or malformed transactions are a relayer bug (and a
@@ -91,6 +90,8 @@ func (p *pacer) pump() {
 			r.sched.After(0, p.pump)
 			return
 		}
+		// Only a transaction the host accepted is charged.
+		r.TotalFees += tx.Fee()
 		r.sched.After(r.cfg.TxGap.Sample(p.rng), p.pump)
 	})
 }

@@ -210,9 +210,10 @@ type Relayer struct {
 	// Stats. The record slices are the pre-telemetry measurement path and
 	// stay authoritative for determinism checks; the telemetry histograms
 	// observe the exact same values.
-	Updates     []UpdateRecord
-	Recvs       []RecvRecord
-	Traces      map[string]*PacketTrace
+	Updates []UpdateRecord
+	Recvs   []RecvRecord
+	Traces  map[string]*PacketTrace
+	// TotalFees sums the fees of the host transactions the host accepted.
 	TotalFees   host.Lamports
 	TimeoutsRun int
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cryptoutil"
 	"repro/internal/fees"
 	"repro/internal/guest"
 	"repro/internal/host"
@@ -72,11 +73,17 @@ func (u *updateScheduler) maybeUpdate() {
 	}
 	headerBytes := update.Marshal()
 	sigs := make([]guest.SigBatch, 0, len(update.Commit))
+	checks := make([]cryptoutil.VerifyTask, 0, len(update.Commit))
 	headerHash := update.Header.Hash()
 	for _, cs := range update.Commit {
 		payload := counterpartyVotePayload(headerHash, cs.Timestamp)
 		sigs = append(sigs, guest.SigBatch{Pub: cs.PubKey, Payload: payload, Sig: cs.Signature})
+		checks = append(checks, cryptoutil.VerifyTask{Pub: cs.PubKey, Msg: payload, Sig: cs.Signature})
 	}
+	// Start the host precompile's checks of the commit now: the pacer
+	// spreads the chunk transactions over many slots, and each chunk's
+	// execution joins the verdicts instead of verifying on the spot.
+	cryptoutil.DefaultBatchVerifier().Prefetch(checks)
 	txs := r.builder.UpdateClientTxs(r.cfg.GuestClientID, headerBytes, sigs)
 
 	var cost host.Lamports

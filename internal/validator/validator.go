@@ -190,16 +190,40 @@ func (v *Validator) OnHostBlock(b *host.Block) {
 	}
 }
 
-// maybeSign schedules a signature for block if due.
+// maybeSign schedules a signature for block if due. The signature is made
+// ahead, in the background, during the sampled latency.
 func (v *Validator) maybeSign(block *guestblock.Block, created time.Time) {
 	if !v.inEpoch(block) || v.signedHeights[block.Height] {
 		return
 	}
 	v.signedHeights[block.Height] = true
 	delay := v.Behaviour.Latency.Sample(v.rng)
+	payload := block.SigningPayload()
+	sig := v.signAhead(payload)
 	v.sched.After(delay, func() {
-		v.submitSign(block, created)
+		v.submitSign(block.Height, payload, sig, created)
 	})
+}
+
+// signAhead signs payload on a spare core and, once the signature exists,
+// starts the host precompile's check of it, so both are done by the time
+// the Sign transaction executes. The returned func joins the signature.
+// Ed25519 signing is deterministic, so the signature — and the
+// transaction built from it — is the one signing inline would make.
+func (v *Validator) signAhead(payload cryptoutil.Hash) func() cryptoutil.Signature {
+	var sig cryptoutil.Signature
+	done := make(chan struct{})
+	go func() {
+		sig = v.Key.SignHash(payload)
+		close(done)
+		cryptoutil.DefaultBatchVerifier().Prefetch([]cryptoutil.VerifyTask{
+			cryptoutil.HashTask(v.Key.Public(), payload, sig),
+		})
+	}()
+	return func() cryptoutil.Signature {
+		<-done
+		return sig
+	}
 }
 
 func (v *Validator) inEpoch(block *guestblock.Block) bool {
@@ -214,20 +238,20 @@ func (v *Validator) inEpoch(block *guestblock.Block) bool {
 	return entry.Epoch.Has(v.Key.Public())
 }
 
-// submitSign signs and submits; latency is measured at submission (the
-// host includes it in the next slot, which Table I's 0.4 s quantisation
-// reflects).
-func (v *Validator) submitSign(block *guestblock.Block, created time.Time) {
+// submitSign joins the signature made ahead and submits it; latency is
+// measured at submission (the host includes it in the next slot, which
+// Table I's 0.4 s quantisation reflects).
+func (v *Validator) submitSign(height uint64, payload cryptoutil.Hash, sig func() cryptoutil.Signature, created time.Time) {
 	if v.stopped {
 		return
 	}
-	tx := v.builder.SignTx(v.Key, block)
+	tx := v.builder.SignedTx(v.Key.Public(), height, payload, sig())
 	v.submitTx(tx, func(err error) {
 		if err != nil {
 			// Bounced at mempool admission (congestion): clear the
 			// signed marker so the recovery scan in OnHostBlock retries
 			// on a later host block instead of wedging finalisation.
-			delete(v.signedHeights, block.Height)
+			delete(v.signedHeights, height)
 			return
 		}
 		// Landing happens at the next slot boundary; record latency as
@@ -240,7 +264,7 @@ func (v *Validator) submitSign(block *guestblock.Block, created time.Time) {
 			latency = slot
 		}
 		v.Records = append(v.Records, SignRecord{
-			Height:  block.Height,
+			Height:  height,
 			Latency: latency,
 			Cost:    tx.Fee(),
 		})

@@ -1,6 +1,7 @@
 package validator
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -172,5 +173,51 @@ func TestForgedSignatureHelper(t *testing.T) {
 	payload := guestblock.SigningPayloadForHash(forged)
 	if !cryptoutil.VerifyHash(sig.PubKey, payload, sig.Signature) {
 		t.Fatal("forged signature does not verify (fisherman could not use it)")
+	}
+}
+
+// TestSignAheadMatchesSignTx: the transaction built from the signature
+// made ahead is the one the builder's inline SignTx makes.
+func TestSignAheadMatchesSignTx(t *testing.T) {
+	e := newValEnv(t, 2, sim.Constant(time.Second))
+	e.generateBlock()
+	e.sched.RunFor(time.Second)
+	block := e.head().Block
+	for i, v := range e.daemons {
+		payload := block.SigningPayload()
+		got := v.builder.SignedTx(v.Key.Public(), block.Height, payload, v.signAhead(payload)())
+		want := v.builder.SignTx(v.Key, block)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("daemon %d: sign-ahead tx differs from SignTx:\n got %+v\nwant %+v", i, got, want)
+		}
+	}
+}
+
+// TestStoppedBeforeScheduledSignSubmitsNothing stops a daemon after it
+// scheduled (and signed ahead) but before its latency elapsed.
+func TestStoppedBeforeScheduledSignSubmitsNothing(t *testing.T) {
+	e := newValEnv(t, 4, sim.Constant(3*time.Second))
+	e.generateBlock()
+	e.sched.RunFor(time.Second)
+	height := e.head().Block.Height
+	stopped := e.daemons[0]
+	if !stopped.signedHeights[height] {
+		t.Fatalf("daemon never scheduled a signature for height %d", height)
+	}
+	stopped.Stop()
+	e.sched.RunFor(10 * time.Second)
+
+	if !e.head().Finalised {
+		t.Fatal("3 of 4 should finalise")
+	}
+	if stopped.SignCount() != 0 {
+		t.Fatalf("stopped daemon recorded %d signatures", stopped.SignCount())
+	}
+	for _, b := range e.chain.BlocksSince(0) {
+		for _, res := range b.Results {
+			if res.FeePayer == stopped.Key.Public() {
+				t.Fatalf("stopped daemon landed tx %q at slot %d", res.Label, b.Slot)
+			}
+		}
 	}
 }
